@@ -1,7 +1,10 @@
 #include "cyclo/chunk.h"
 
+#include <algorithm>
 #include <cstring>
+#include <tuple>
 
+#include "join/sort_merge.h"
 #include "obs/prof.h"
 
 namespace cj::cyclo {
@@ -24,24 +27,78 @@ std::size_t ChunkWriter::tuples_per_chunk(std::size_t runs) const {
 
 namespace {
 
-// Low-level emit shared by the three builders. Chunks are appended to the
-// slab back-to-back (8-byte aligned).
+// Low-level emit shared by the builders. Chunks are appended to the slab
+// back-to-back (8-byte aligned).
+//
+// A copying build (reserve, emit) copies each chunk's tuples in from the
+// prepared fragment. An in-place build has no prepared fragment: the
+// caller prepares the tuples, already in chunk order, straight into the
+// slab's tail (open_tail), and every chunk is then emitted from there
+// (emit_from_tail), its header and run directory written in front of its
+// tuples, which move down into place. The tail starts after an upper bound
+// on the slab's total header overhead, so a chunk never reaches the tuples
+// still to be moved.
 class SlabBuilder {
  public:
-  /// Pre-sizes the backing slab (an upper bound is fine) so emitting chunks
-  /// appends without geometric reallocation — this code runs inside the
-  /// measured setup closures, where every copy is billed as virtual time.
+  /// Builds into `reuse`'s storage (its capacity survives).
+  explicit SlabBuilder(ChunkSlab&& reuse) {
+    std::tie(bytes_, entries_) = reuse.release();
+    entries_.clear();
+  }
+
+  /// Starts a copying build and pre-sizes the backing slab (an upper bound
+  /// is fine) so emitting chunks appends without geometric reallocation —
+  /// this code runs inside the measured setup closures, where every copy is
+  /// billed as virtual time.
   void reserve(std::size_t bytes, std::size_t chunks) {
+    bytes_.clear();
     bytes_.reserve(bytes);
     entries_.reserve(chunks);
   }
 
+  /// Appends a chunk whose tuples are copied from `tuples`.
   void emit(ChunkKind kind, int origin, int radix_bits,
             std::span<const PartitionRun> runs, std::span<const rel::Tuple> tuples) {
+    std::byte* data = open_chunk(kind, origin, radix_bits, runs, tuples.size());
+    if (!tuples.empty()) std::memcpy(data, tuples.data(), tuples.size_bytes());
+  }
+
+  /// Starts an in-place build of `n` tuples and returns the tail they go
+  /// to, `overhead` bytes (at least the chunks' total header overhead) from
+  /// the start. Reused storage is not cleared: every byte of the finished
+  /// slab is written.
+  std::span<rel::Tuple> open_tail(std::size_t n, std::size_t overhead) {
+    tail_ = aligned(overhead);
+    bytes_.resize(tail_ + n * sizeof(rel::Tuple));
+    return {reinterpret_cast<rel::Tuple*>(bytes_.data() + tail_), n};
+  }
+
+  /// Appends a chunk of the tail's tuples [first, first + count).
+  void emit_from_tail(ChunkKind kind, int origin, int radix_bits,
+                      std::span<const PartitionRun> runs, std::size_t first,
+                      std::size_t count) {
+    std::byte* data = open_chunk(kind, origin, radix_bits, runs, count);
+    const std::byte* src = bytes_.data() + tail_ + first * sizeof(rel::Tuple);
+    CJ_CHECK_MSG(data <= src, "in-place chunk overran its unmoved tuples");
+    if (count != 0) std::memmove(data, src, count * sizeof(rel::Tuple));
+  }
+
+  ChunkSlab finish() {
+    bytes_.resize(end_);
+    return ChunkSlab(std::move(bytes_), std::move(entries_), total_tuples_);
+  }
+
+ private:
+  /// Writes the next chunk's header and run directory (zeroing the
+  /// alignment padding before it) and returns where its tuples go.
+  std::byte* open_chunk(ChunkKind kind, int origin, int radix_bits,
+                        std::span<const PartitionRun> runs,
+                        std::size_t num_tuples) {
+    const std::size_t offset = aligned(end_);
     const std::size_t payload =
-        kHeaderBytes + runs.size_bytes() + tuples.size_bytes();
-    const std::size_t offset = aligned(bytes_.size());
-    bytes_.resize(offset + payload);
+        kHeaderBytes + runs.size_bytes() + num_tuples * sizeof(rel::Tuple);
+    if (bytes_.size() < offset + payload) bytes_.resize(offset + payload);
+    if (offset > end_) std::memset(bytes_.data() + end_, 0, offset - end_);
 
     ChunkHeader header{};
     header.magic = kChunkMagic;
@@ -49,71 +106,52 @@ class SlabBuilder {
     header.kind = static_cast<std::uint8_t>(kind);
     header.radix_bits = static_cast<std::uint8_t>(radix_bits);
     header.num_runs = static_cast<std::uint32_t>(runs.size());
-    header.num_tuples = static_cast<std::uint32_t>(tuples.size());
+    header.num_tuples = static_cast<std::uint32_t>(num_tuples);
 
     std::byte* out = bytes_.data() + offset;
     std::memcpy(out, &header, kHeaderBytes);
     if (!runs.empty()) {
       std::memcpy(out + kHeaderBytes, runs.data(), runs.size_bytes());
     }
-    if (!tuples.empty()) {
-      std::memcpy(out + kHeaderBytes + runs.size_bytes(), tuples.data(),
-                  tuples.size_bytes());
-    }
     entries_.push_back({offset, payload});
-    total_tuples_ += tuples.size();
+    total_tuples_ += num_tuples;
+    end_ = offset + payload;
+    return out + kHeaderBytes + runs.size_bytes();
   }
 
-  ChunkSlab finish() {
-    return ChunkSlab(std::move(bytes_), std::move(entries_), total_tuples_);
-  }
-
- private:
   std::vector<std::byte> bytes_;
   std::vector<ChunkSlab::Entry> entries_;
   std::uint64_t total_tuples_ = 0;
+  std::size_t end_ = 0;   // end of the last emitted chunk
+  std::size_t tail_ = 0;  // in-place build: where the tuples sit
 };
 
-}  // namespace
-
-ChunkSlab ChunkWriter::from_partitioned(const join::PartitionedData& data,
-                                        int origin_host) const {
-  obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
-                                data.all_tuples().size());
-  SlabBuilder builder;
+/// Greedy packing of a clustered fragment into chunks: walks the
+/// partitions of `offsets` (a PartitionedData directory) in order — they
+/// are contiguous in the clustered layout — and splits a partition into
+/// several runs when it does not fit the remaining space. Calls
+/// emit(runs, first tuple, tuple count) once per chunk.
+template <typename Emit>
+void pack_partitions(const ChunkWriter& writer,
+                     std::span<const std::uint32_t> offsets, Emit&& emit) {
   std::vector<PartitionRun> runs;
   std::size_t chunk_tuples = 0;
-  std::size_t chunk_begin = 0;  // index into data.all_tuples()
-
-  auto tuples = data.all_tuples();
-  // Upper bound: every chunk full, plus one run-directory entry per chunk
-  // boundary and per partition.
-  const std::size_t max_chunks =
-      tuples.size() / std::max<std::size_t>(1, tuples_per_chunk(1)) + 1;
-  builder.reserve(tuples.size_bytes() +
-                      (max_chunks + data.num_partitions()) *
-                          (kHeaderBytes + sizeof(PartitionRun) + kAlign),
-                  max_chunks);
+  std::size_t chunk_begin = 0;
   auto flush = [&] {
     if (chunk_tuples == 0) return;
-    builder.emit(ChunkKind::kPartitioned, origin_host, data.bits(), runs,
-                 tuples.subspan(chunk_begin, chunk_tuples));
+    emit(std::span<const PartitionRun>(runs), chunk_begin, chunk_tuples);
     chunk_begin += chunk_tuples;
     chunk_tuples = 0;
     runs.clear();
   };
-
-  // Greedy packing: walk partitions in order (they are contiguous in the
-  // clustered layout) and split a partition into multiple runs when it does
-  // not fit the remaining space.
-  for (std::uint32_t p = 0; p < data.num_partitions(); ++p) {
-    std::size_t remaining = data.partition(p).size();
+  for (std::uint32_t p = 0; p + 1 < offsets.size(); ++p) {
+    std::size_t remaining = offsets[p + 1] - offsets[p];
     while (remaining > 0) {
       // +1 run for the piece we are about to add.
-      std::size_t capacity = tuples_per_chunk(runs.size() + 1);
+      std::size_t capacity = writer.tuples_per_chunk(runs.size() + 1);
       if (chunk_tuples >= capacity) {
         flush();
-        capacity = tuples_per_chunk(1);
+        capacity = writer.tuples_per_chunk(1);
       }
       const std::size_t take = std::min(remaining, capacity - chunk_tuples);
       runs.push_back(PartitionRun{p, static_cast<std::uint32_t>(take)});
@@ -122,40 +160,122 @@ ChunkSlab ChunkWriter::from_partitioned(const join::PartitionedData& data,
     }
   }
   flush();
+}
+
+/// Cuts `n` tuples into contiguous chunks of `per_chunk` (sorted and raw
+/// chunks carry no run directory).
+template <typename Emit>
+void pack_ranges(std::size_t n, std::size_t per_chunk, Emit&& emit) {
+  for (std::size_t first = 0; first < n; first += per_chunk) {
+    emit(std::span<const PartitionRun>(), first, std::min(per_chunk, n - first));
+  }
+}
+
+/// Upper bound on the header overhead of a partitioned slab: every chunk
+/// full, plus one run-directory entry per chunk boundary and per partition.
+std::size_t partitioned_overhead(const ChunkWriter& writer, std::size_t n,
+                                 std::size_t partitions) {
+  const std::size_t max_chunks =
+      n / std::max<std::size_t>(1, writer.tuples_per_chunk(1)) + 1;
+  return (max_chunks + partitions) *
+         (kHeaderBytes + sizeof(PartitionRun) + kAlign);
+}
+
+/// Upper bound on the header overhead of a sorted or raw slab.
+std::size_t ranges_overhead(std::size_t n, std::size_t per_chunk) {
+  return (n / per_chunk + 1) * (kHeaderBytes + kAlign);
+}
+
+/// Copying build of sorted or raw chunks: contiguous ranges of `tuples`.
+ChunkSlab copy_ranges(const ChunkWriter& writer, ChunkKind kind,
+                      std::span<const rel::Tuple> tuples, int origin_host,
+                      ChunkSlab reuse) {
+  obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
+                                tuples.size());
+  SlabBuilder builder(std::move(reuse));
+  const std::size_t per_chunk = writer.tuples_per_chunk(0);
+  builder.reserve(tuples.size_bytes() + ranges_overhead(tuples.size(), per_chunk),
+                  tuples.size() / per_chunk + 1);
+  pack_ranges(tuples.size(), per_chunk,
+              [&](std::span<const PartitionRun> runs, std::size_t first,
+                  std::size_t count) {
+                builder.emit(kind, origin_host, 0, runs,
+                             tuples.subspan(first, count));
+              });
+  return builder.finish();
+}
+
+}  // namespace
+
+ChunkSlab ChunkWriter::from_partitioned(const join::PartitionedData& data,
+                                        int origin_host) const {
+  obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
+                                data.all_tuples().size());
+  SlabBuilder builder(ChunkSlab{});
+  const auto tuples = data.all_tuples();
+  builder.reserve(tuples.size_bytes() + partitioned_overhead(*this, tuples.size(),
+                                                             data.num_partitions()),
+                  tuples.size() / std::max<std::size_t>(1, tuples_per_chunk(1)) + 1);
+  pack_partitions(*this, data.offsets(),
+                  [&](std::span<const PartitionRun> runs, std::size_t first,
+                      std::size_t count) {
+                    builder.emit(ChunkKind::kPartitioned, origin_host,
+                                 data.bits(), runs, tuples.subspan(first, count));
+                  });
+  return builder.finish();
+}
+
+ChunkSlab ChunkWriter::cluster_in_place(std::span<const rel::Tuple> tuples,
+                                        int radix_bits, int bits_per_pass,
+                                        const join::KernelConfig& kernel,
+                                        int origin_host,
+                                        join::RadixScratch& scratch,
+                                        ChunkSlab reuse) const {
+  SlabBuilder builder(std::move(reuse));
+  const std::size_t n = tuples.size();
+  std::vector<std::uint32_t> offsets;
+  join::radix_cluster_to(
+      tuples, radix_bits, bits_per_pass, kernel,
+      builder.open_tail(n, partitioned_overhead(*this, n, std::size_t{1} << radix_bits)),
+      offsets, scratch);
+  obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy", n);
+  pack_partitions(*this, offsets,
+                  [&](std::span<const PartitionRun> runs, std::size_t first,
+                      std::size_t count) {
+                    builder.emit_from_tail(ChunkKind::kPartitioned, origin_host,
+                                           radix_bits, runs, first, count);
+                  });
   return builder.finish();
 }
 
 ChunkSlab ChunkWriter::from_sorted(std::span<const rel::Tuple> sorted,
                                    int origin_host) const {
-  obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
-                                sorted.size());
-  SlabBuilder builder;
+  return copy_ranges(*this, ChunkKind::kSorted, sorted, origin_host, {});
+}
+
+ChunkSlab ChunkWriter::sort_in_place(std::span<const rel::Tuple> tuples,
+                                     int origin_host, ChunkSlab reuse) const {
+  SlabBuilder builder(std::move(reuse));
+  const std::size_t n = tuples.size();
   const std::size_t per_chunk = tuples_per_chunk(0);
-  const std::size_t max_chunks = sorted.size() / per_chunk + 1;
-  builder.reserve(sorted.size_bytes() + max_chunks * (kHeaderBytes + kAlign),
-                  max_chunks);
-  for (std::size_t begin = 0; begin < sorted.size(); begin += per_chunk) {
-    const std::size_t count = std::min(per_chunk, sorted.size() - begin);
-    builder.emit(ChunkKind::kSorted, origin_host, 0, {},
-                 sorted.subspan(begin, count));
-  }
+  const std::span<rel::Tuple> tail =
+      builder.open_tail(n, ranges_overhead(n, per_chunk));
+  std::copy(tuples.begin(), tuples.end(), tail.begin());
+  join::sort_fragment(tail);
+  obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy", n);
+  pack_ranges(n, per_chunk,
+              [&](std::span<const PartitionRun> runs, std::size_t first,
+                  std::size_t count) {
+                builder.emit_from_tail(ChunkKind::kSorted, origin_host, 0, runs,
+                                       first, count);
+              });
   return builder.finish();
 }
 
 ChunkSlab ChunkWriter::from_raw(std::span<const rel::Tuple> tuples,
-                                int origin_host) const {
-  obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
-                                tuples.size());
-  SlabBuilder builder;
-  const std::size_t per_chunk = tuples_per_chunk(0);
-  const std::size_t max_chunks = tuples.size() / per_chunk + 1;
-  builder.reserve(tuples.size_bytes() + max_chunks * (kHeaderBytes + kAlign),
-                  max_chunks);
-  for (std::size_t begin = 0; begin < tuples.size(); begin += per_chunk) {
-    const std::size_t count = std::min(per_chunk, tuples.size() - begin);
-    builder.emit(ChunkKind::kRaw, origin_host, 0, {}, tuples.subspan(begin, count));
-  }
-  return builder.finish();
+                                int origin_host, ChunkSlab reuse) const {
+  return copy_ranges(*this, ChunkKind::kRaw, tuples, origin_host,
+                     std::move(reuse));
 }
 
 ChunkView decode_chunk(std::span<const std::byte> payload) {

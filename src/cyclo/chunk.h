@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -92,6 +93,13 @@ class ChunkSlab {
   std::uint64_t total_bytes() const { return bytes_.size(); }
   std::uint64_t total_tuples() const { return total_tuples_; }
 
+  /// Moves the backing storage out (contents unspecified) so ChunkWriter
+  /// can build the next slab into it; this becomes empty.
+  std::pair<std::vector<std::byte>, std::vector<Entry>> release() {
+    total_tuples_ = 0;
+    return {std::exchange(bytes_, {}), std::exchange(entries_, {})};
+  }
+
  private:
   std::vector<std::byte> bytes_;
   std::vector<Entry> entries_;
@@ -104,15 +112,35 @@ class ChunkWriter {
   explicit ChunkWriter(std::size_t max_payload_bytes)
       : max_payload_(max_payload_bytes) {}
 
+  // A builder that takes `reuse` writes into its storage when it is large
+  // enough (a caller that chunks every run keeps its last slab and passes
+  // it back).
+
   /// Chunks a radix-clustered fragment, splitting oversized partitions
   /// into runs as needed.
-  ChunkSlab from_partitioned(const join::PartitionedData& data, int origin_host) const;
+  ChunkSlab from_partitioned(const join::PartitionedData& data,
+                             int origin_host) const;
+
+  /// from_partitioned(radix_cluster(tuples, radix_bits, ...)) without the
+  /// clustered copy: clusters straight into the slab's storage, then
+  /// writes each chunk's header in front of its tuples and moves them into
+  /// place. `scratch` holds the clustering's transient arrays.
+  ChunkSlab cluster_in_place(std::span<const rel::Tuple> tuples, int radix_bits,
+                             int bits_per_pass, const join::KernelConfig& kernel,
+                             int origin_host, join::RadixScratch& scratch,
+                             ChunkSlab reuse = {}) const;
 
   /// Chunks a sorted fragment into contiguous sorted ranges.
   ChunkSlab from_sorted(std::span<const rel::Tuple> sorted, int origin_host) const;
 
+  /// from_sorted of a sorted copy of `tuples`, sorted in the slab's
+  /// storage instead of a separate copy (as cluster_in_place).
+  ChunkSlab sort_in_place(std::span<const rel::Tuple> tuples, int origin_host,
+                          ChunkSlab reuse = {}) const;
+
   /// Chunks arbitrary tuples (nested-loops fallback).
-  ChunkSlab from_raw(std::span<const rel::Tuple> tuples, int origin_host) const;
+  ChunkSlab from_raw(std::span<const rel::Tuple> tuples, int origin_host,
+                     ChunkSlab reuse = {}) const;
 
   /// Largest tuple count that fits one chunk with `runs` directory entries.
   std::size_t tuples_per_chunk(std::size_t runs) const;

@@ -80,14 +80,15 @@ class Runner {
  public:
   Runner(const ClusterConfig& cluster_cfg, const JoinSpec& spec,
          const rel::Relation& r, const std::vector<SharedQuery>& queries,
-         FragmentInputs* frags = nullptr)
+         FragmentInputs* frags, std::vector<detail::HostMemory>* memory)
       : cluster_cfg_(cluster_cfg),
         spec_(spec),
         cluster_(engine_, cluster_cfg),
         n_(cluster_cfg.num_hosts),
         queries_(queries),  // owned copy: QueryState keeps pointers into it
         num_queries_(queries.size()),
-        plan_(detail::plan_run(cluster_cfg_, spec_, r, queries_, frags)),
+        plan_(detail::plan_run(cluster_cfg_, spec_, r, queries_, frags,
+                               memory)),
         setup_barrier_(engine_, n_),
         start_barrier_(engine_, n_),
         replicate_barrier_(engine_, n_),
@@ -150,6 +151,11 @@ class Runner {
     return build_report();
   }
 
+  /// Hands the hosts' working memory back after execute().
+  void reclaim(std::vector<detail::HostMemory>* memory) {
+    detail::reclaim_memory(plan_, memory);
+  }
+
  private:
   sim::Task<void> host_process(int i) {
     HostRun& host = *hosts_[static_cast<std::size_t>(i)];
@@ -170,10 +176,7 @@ class Runner {
       replica_records_[static_cast<std::size_t>(i)] = detail::build_replica_records(
           *host.plan, cluster_cfg_.node.buffer_bytes - ring::kFrameBytes);
     }
-    host.plan->r_frag = rel::Relation();  // originals no longer needed
-    if (spec_.algorithm != Algorithm::kNestedLoops) {
-      for (auto& query : host.plan->queries) query.s_frag = rel::Relation();
-    }
+    detail::release_inputs(*host.plan, spec_.algorithm);
 
     co_await setup_barrier_.arrive_and_wait();
 
@@ -1038,28 +1041,27 @@ class Runner {
 
 }  // namespace
 
-CycloJoin::CycloJoin(ClusterConfig cluster, JoinSpec spec)
-    : cluster_(std::move(cluster)), spec_(std::move(spec)) {}
+std::shared_ptr<WorkingMemory> make_working_memory() {
+  return std::make_shared<WorkingMemory>();
+}
+
+CycloJoin::CycloJoin(ClusterConfig cluster, JoinSpec spec,
+                     std::shared_ptr<WorkingMemory> memory)
+    : cluster_(std::move(cluster)),
+      spec_(std::move(spec)),
+      memory_(memory != nullptr ? std::move(memory) : make_working_memory()) {}
 
 RunReport CycloJoin::run(const rel::Relation& r, const rel::Relation& s) {
   SharedQuery query;
   query.stationary = &s;
   query.band = spec_.band;
   query.predicate = spec_.predicate;
-  if (cluster_.backend == Backend::kRt) {
-    return run_rt(cluster_, spec_, r, {query});
-  }
-  Runner runner(cluster_, spec_, r, {query});
-  return runner.execute();
+  return execute(r, {query}, nullptr);
 }
 
 SharedRunReport CycloJoin::run_shared(const rel::Relation& rotating,
                                       const std::vector<SharedQuery>& queries) {
-  if (cluster_.backend == Backend::kRt) {
-    return run_rt(cluster_, spec_, rotating, queries);
-  }
-  Runner runner(cluster_, spec_, rotating, queries);
-  return runner.execute();
+  return execute(rotating, queries, nullptr);
 }
 
 RunReport CycloJoin::run_fragments(FragmentInputs inputs) {
@@ -1067,11 +1069,23 @@ RunReport CycloJoin::run_fragments(FragmentInputs inputs) {
   query.band = spec_.band;
   query.predicate = spec_.predicate;
   const rel::Relation no_rotating;  // ignored: plan_run moves the fragments
+  return execute(no_rotating, {query}, &inputs);
+}
+
+SharedRunReport CycloJoin::execute(const rel::Relation& rotating,
+                                   const std::vector<SharedQuery>& queries,
+                                   FragmentInputs* frags) {
+  std::vector<detail::HostMemory> memory = memory_->take();
+  SharedRunReport report;
   if (cluster_.backend == Backend::kRt) {
-    return run_rt(cluster_, spec_, no_rotating, {query}, &inputs);
+    report = run_rt(cluster_, spec_, rotating, queries, frags, &memory);
+  } else {
+    Runner runner(cluster_, spec_, rotating, queries, frags, &memory);
+    report = runner.execute();
+    runner.reclaim(&memory);
   }
-  Runner runner(cluster_, spec_, no_rotating, {query}, &inputs);
-  return runner.execute();
+  memory_->give(std::move(memory));
+  return report;
 }
 
 std::vector<OutputFragment> RunReport::output_fragments() const {

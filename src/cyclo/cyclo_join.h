@@ -181,10 +181,28 @@ struct SharedRunReport : RunReport {
   std::vector<QueryResult> queries;
 };
 
+/// The per-host working memory runs build in (opaque): stationary hash
+/// tables, clustering scratch, chunk slabs. It outlives each
+/// run, sized for the largest run so far, so the next run rebuilds in
+/// place and faults in almost no page.
+class WorkingMemory;
+std::shared_ptr<WorkingMemory> make_working_memory();
+
 /// Configured cyclo-join executor. Reusable across runs.
+///
+/// Inputs are read in place: a run splits no relation into copies, its
+/// hosts read their even shares of the caller's relations directly, so
+/// every input must outlive the call (run_fragments moves its inputs in
+/// instead). Each host builds in the object's WorkingMemory, which it keeps
+/// until it is destroyed. CycloJoins that run one after another on the
+/// same number of hosts, such as the waves of a scheduler, may share one
+/// WorkingMemory. Runs may overlap; one that starts while
+/// another holds the memory builds in fresh memory.
 class CycloJoin {
  public:
-  CycloJoin(ClusterConfig cluster, JoinSpec spec);
+  /// A null `memory` gives the object a WorkingMemory of its own.
+  CycloJoin(ClusterConfig cluster, JoinSpec spec,
+            std::shared_ptr<WorkingMemory> memory = nullptr);
 
   /// Computes r ⋈ s with r rotating and s stationary. Inputs are split
   /// evenly across hosts (the paper assumes an even distribution of S).
@@ -211,8 +229,13 @@ class CycloJoin {
   const JoinSpec& spec() const { return spec_; }
 
  private:
+  SharedRunReport execute(const rel::Relation& rotating,
+                          const std::vector<SharedQuery>& queries,
+                          FragmentInputs* frags);
+
   ClusterConfig cluster_;
   JoinSpec spec_;
+  std::shared_ptr<WorkingMemory> memory_;
 };
 
 }  // namespace cj::cyclo

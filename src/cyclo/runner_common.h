@@ -18,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -42,12 +43,17 @@ namespace cj::cyclo::detail {
 /// its partial result. With a single query this is classic cyclo-join;
 /// with several, one rotation feeds them all (Data Cyclotron mode).
 struct QueryState {
-  rel::Relation s_frag;  // released after setup (except nested loops)
+  /// This host's share of the query's stationary relation: a view of the
+  /// caller's relation, or of `s_owned` when run_fragments moved the
+  /// fragment in (or, adopted, of the replica). Released after setup
+  /// except under nested loops.
+  std::span<const rel::Tuple> s_frag;
+  rel::Relation s_owned;
 
-  // Exactly one is populated, per algorithm.
+  // The prepared stationary side: the tables (hash join) or the sorted
+  // copy (sort-merge); nested loops joins straight from s_frag.
   std::optional<join::HashJoinStationary> hash;
   std::vector<rel::Tuple> s_sorted;
-  std::vector<rel::Tuple> s_raw;
 
   std::uint32_t band = 0;
   const std::function<bool(const rel::Tuple&, const rel::Tuple&)>* predicate =
@@ -64,12 +70,69 @@ struct QueryState {
   std::vector<join::JoinResult> per_origin;
 };
 
+/// One host's working memory, kept by its CycloJoin across runs: every
+/// large buffer a run's setup builds into. plan_run hands it to the run
+/// and reclaim_memory takes it back at the end, so the next run on the
+/// same object rebuilds in place — like the paper's hosts, which reuse one
+/// statically allocated, pre-registered buffer ring on every revolution —
+/// instead of faulting in fresh pages. Buffers only grow: the memory
+/// stays sized for the largest run so far.
+struct HostMemory {
+  /// Per query slot: the stationary tables (hash join) or the sorted copy
+  /// of S_i (sort-merge); handed to QueryState::hash / s_sorted for a run.
+  std::vector<join::HashJoinStationary> stationary;
+  std::vector<std::vector<rel::Tuple>> s_sorted;
+  /// Rotating side: the clustering scratch of R_i (hash join), used in
+  /// place by the setup closure, and the encoded chunk slab, which R_i is
+  /// clustered or sorted straight into; handed to HostPlan::slab for a run.
+  join::RadixScratch r_scratch;
+  ChunkSlab slab;
+};
+
+}  // namespace cj::cyclo::detail
+
+namespace cj::cyclo {
+
+/// A run takes the memory at its start and gives it back at its end, so no
+/// lock is held across a run; a run that starts while another holds the
+/// memory finds none and builds in fresh memory. Of two memories given
+/// back, the first is kept.
+class WorkingMemory {
+ public:
+  using HostMemory = detail::HostMemory;
+
+  std::vector<HostMemory> take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(hosts_, {});
+  }
+
+  void give(std::vector<HostMemory> hosts) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (hosts_.empty()) hosts_.swap(hosts);
+    }
+    // A memory that lost the race is freed here, outside the lock.
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<HostMemory> hosts_;
+};
+
+}  // namespace cj::cyclo
+
+namespace cj::cyclo::detail {
+
 /// One host's share of the plan: its rotating fragment, its per-query
 /// stationary fragments, and (after setup) its wire-ready chunk slab.
 struct HostPlan {
-  rel::Relation r_frag;  // released after setup
+  /// A view of the caller's rotating relation, or of `r_owned` when
+  /// run_fragments moved the fragment in. Released after setup.
+  std::span<const rel::Tuple> r_frag;
+  rel::Relation r_owned;
   std::vector<QueryState> queries;
   ChunkSlab slab;  // filled by the rotating-side setup closure
+  HostMemory memory;
 };
 
 /// The validated, distributed run: what every backend executes.
@@ -93,8 +156,9 @@ struct RunPlan {
 };
 
 /// Validates the (cluster, spec, queries) combination and distributes the
-/// rotating and stationary relations evenly over the hosts. `queries` must
-/// outlive the plan: QueryState keeps pointers to the predicates.
+/// rotating and stationary relations evenly over the hosts, as views: the
+/// relations and `queries` must outlive the plan (QueryState also keeps
+/// pointers to the predicates).
 ///
 /// When `frags` is non-null the distribute step is skipped entirely: host
 /// i's inputs are moved out of frags->rotating[i] / frags->stationary[i]
@@ -102,10 +166,14 @@ struct RunPlan {
 /// run_fragments), `r` is ignored, and the single query's `stationary`
 /// pointer may be null. Everything downstream — setup closures, chunking,
 /// replication, the resilient protocol — is identical.
+///
+/// `memory` (may be null or empty) is the CycloJoin's kept working memory:
+/// one entry per host is moved into the plan; see reclaim_memory.
 inline RunPlan plan_run(const ClusterConfig& cluster, const JoinSpec& spec,
                         const rel::Relation& r,
                         const std::vector<SharedQuery>& queries,
-                        FragmentInputs* frags = nullptr) {
+                        FragmentInputs* frags = nullptr,
+                        std::vector<HostMemory>* memory = nullptr) {
   const int n = cluster.num_hosts;
   CJ_CHECK_MSG(!queries.empty(), "a run needs at least one query");
   if (frags != nullptr) {
@@ -142,25 +210,47 @@ inline RunPlan plan_run(const ClusterConfig& cluster, const JoinSpec& spec,
     CJ_CHECK_MSG(n >= 3, "surviving a crash needs at least three hosts");
   }
 
-  auto r_frags =
-      frags != nullptr ? std::move(frags->rotating) : rel::split_even(r, n);
+  const bool reuse =
+      memory != nullptr && memory->size() == static_cast<std::size_t>(n);
   plan.hosts.resize(static_cast<std::size_t>(n));
   plan.s_rows.assign(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
-    HostPlan& host = plan.hosts[static_cast<std::size_t>(i)];
-    host.r_frag = std::move(r_frags[static_cast<std::size_t>(i)]);
-    plan.r_rows.push_back(host.r_frag.rows());
+    const auto h = static_cast<std::size_t>(i);
+    HostPlan& host = plan.hosts[h];
+    if (frags != nullptr) {
+      host.r_owned = std::move(frags->rotating[h]);
+      host.r_frag = host.r_owned.tuples();
+    } else {
+      host.r_frag = rel::even_share(r, i, n);
+    }
+    plan.r_rows.push_back(host.r_frag.size());
     host.queries.resize(queries.size());
+    if (reuse) host.memory = std::move((*memory)[h]);
+    HostMemory& mem = host.memory;
+    if (mem.stationary.size() < queries.size()) {
+      mem.stationary.resize(queries.size());
+      mem.s_sorted.resize(queries.size());
+    }
+    host.slab = std::move(mem.slab);
   }
+  if (memory != nullptr) memory->clear();
   std::size_t max_s_rows = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     CJ_CHECK(frags != nullptr || queries[q].stationary != nullptr);
-    auto s_frags = frags != nullptr
-                       ? std::move(frags->stationary)
-                       : rel::split_even(*queries[q].stationary, n);
     for (int i = 0; i < n; ++i) {
-      QueryState& state = plan.hosts[static_cast<std::size_t>(i)].queries[q];
-      state.s_frag = std::move(s_frags[static_cast<std::size_t>(i)]);
+      const auto h = static_cast<std::size_t>(i);
+      HostPlan& host = plan.hosts[h];
+      QueryState& state = host.queries[q];
+      if (frags != nullptr) {
+        state.s_owned = std::move(frags->stationary[h]);
+        state.s_frag = state.s_owned.tuples();
+      } else {
+        state.s_frag = rel::even_share(*queries[q].stationary, i, n);
+      }
+      if (spec.algorithm == Algorithm::kHashJoin) {
+        state.hash.emplace(std::move(host.memory.stationary[q]));
+      }
+      state.s_sorted = std::move(host.memory.s_sorted[q]);
       state.band = queries[q].band;
       state.predicate = &queries[q].predicate;
       state.tag = queries[q].tag;
@@ -171,14 +261,47 @@ inline RunPlan plan_run(const ClusterConfig& cluster, const JoinSpec& spec,
           state.per_origin.emplace_back(spec.materialize);
         }
       }
-      plan.s_rows[static_cast<std::size_t>(i)] += state.s_frag.rows();
-      max_s_rows = std::max(max_s_rows, state.s_frag.rows());
+      plan.s_rows[h] += state.s_frag.size();
+      max_s_rows = std::max(max_s_rows, state.s_frag.size());
     }
   }
   // Radix bits are a global agreement (every R chunk must be partitioned
   // exactly like every host's — and every query's — S_i).
   plan.radix_bits = join::choose_radix_bits(max_s_rows, spec.radix);
   return plan;
+}
+
+/// Drops a host's inputs once setup has consumed them (and, with
+/// replication, once its replica records are serialized): the views, and
+/// the fragments run_fragments moved in. Nested loops keeps S_i, which it
+/// joins against.
+inline void release_inputs(HostPlan& host, Algorithm algorithm) {
+  host.r_frag = {};
+  host.r_owned = rel::Relation();
+  if (algorithm == Algorithm::kNestedLoops) return;
+  for (QueryState& query : host.queries) {
+    query.s_frag = {};
+    query.s_owned = rel::Relation();
+  }
+}
+
+/// Takes every host's working memory back out of a finished run's plan
+/// into `memory` (no-op when null), for the next run on the same
+/// CycloJoin. Call only after every engine and worker thread of the run
+/// has finished with the plan.
+inline void reclaim_memory(RunPlan& plan, std::vector<HostMemory>* memory) {
+  if (memory == nullptr) return;
+  memory->clear();
+  for (HostPlan& host : plan.hosts) {
+    HostMemory& mem = host.memory;
+    for (std::size_t q = 0; q < host.queries.size(); ++q) {
+      QueryState& query = host.queries[q];
+      if (query.hash) mem.stationary[q] = std::move(*query.hash);
+      mem.s_sorted[q] = std::move(query.s_sorted);
+    }
+    mem.slab = std::move(host.slab);
+    memory->push_back(std::move(mem));
+  }
 }
 
 // ----- ring-neighbor replication (exact-result crash recovery) ------------
@@ -275,7 +398,7 @@ inline std::vector<std::vector<std::byte>> build_replica_records(
   const std::size_t tuples_per_piece = body_budget / sizeof(rel::Tuple);
   std::vector<std::vector<std::byte>> records;
   for (std::size_t q = 0; q < host.queries.size(); ++q) {
-    const auto tuples = host.queries[q].s_frag.tuples();
+    const auto tuples = host.queries[q].s_frag;
     std::uint32_t piece = 0;
     for (std::size_t off = 0; off < tuples.size(); off += tuples_per_piece) {
       const std::size_t n = std::min(tuples_per_piece, tuples.size() - off);
@@ -302,7 +425,8 @@ inline std::vector<std::vector<std::byte>> build_replica_records(
 /// the replica copy of the dead host's stationary fragments. The caller
 /// pre-sizes `states` (band/predicate/result set) and schedules the
 /// returned closures on the adopter's cores; `s_tuples` must stay at a
-/// stable address until they ran (the ReplicaStore owns it).
+/// stable address until they ran — under nested loops until the adopted
+/// joins finished (the ReplicaStore owns it for the whole run).
 inline std::vector<std::function<void()>> adopted_setup_closures(
     const JoinSpec& spec, int radix_bits,
     const std::vector<std::vector<rel::Tuple>>& s_tuples,
@@ -330,7 +454,7 @@ inline std::vector<std::function<void()>> adopted_setup_closures(
         });
         break;
       case Algorithm::kNestedLoops:
-        out.push_back([state, tuples] { state->s_raw = *tuples; });
+        out.push_back([state, tuples] { state->s_frag = *tuples; });
         break;
     }
   }
@@ -398,8 +522,9 @@ inline std::vector<std::vector<ProbeSlice>> split_probe_work(
 inline constexpr int kTasksPerThread = 4;
 
 /// Builds host i's setup-phase closures: one per query's stationary
-/// fragment plus one for the rotating slab. The caller schedules each on a
-/// core (tag "setup") and stamps the slab with patch_origin() afterwards.
+/// fragment (none under nested loops) plus one for the rotating slab. The
+/// caller schedules each on a core (tag "setup") and stamps the slab with
+/// patch_origin() afterwards.
 /// `host` must stay at a stable address until every closure has run.
 inline std::vector<std::function<void()>> setup_closures(
     const JoinSpec& spec, int radix_bits, ChunkWriter writer, HostPlan* host) {
@@ -410,46 +535,39 @@ inline std::vector<std::function<void()>> setup_closures(
     switch (spec.algorithm) {
       case Algorithm::kHashJoin:
         out.push_back([state, radix_bits, radix] {
-          state->hash = join::HashJoinStationary::build(state->s_frag.tuples(),
-                                                        radix_bits, radix);
+          state->hash->rebuild(state->s_frag, radix_bits, radix);
         });
         break;
       case Algorithm::kSortMergeJoin:
         out.push_back([state] {
-          state->s_sorted.assign(state->s_frag.tuples().begin(),
-                                 state->s_frag.tuples().end());
+          state->s_sorted.assign(state->s_frag.begin(), state->s_frag.end());
           join::sort_fragment(state->s_sorted);
         });
         break;
       case Algorithm::kNestedLoops:
-        out.push_back([state] {
-          state->s_raw.assign(state->s_frag.tuples().begin(),
-                              state->s_frag.tuples().end());
-        });
-        break;
+        break;  // joins straight from s_frag
     }
   }
 
+  // The rotating side is clustered or sorted straight into the host's
+  // slab (reused across runs): no separate prepared copy of R_i.
   switch (spec.algorithm) {
     case Algorithm::kHashJoin:
       out.push_back([host, writer, radix_bits, radix] {
-        join::PartitionedData r_parts = join::radix_cluster(
-            host->r_frag.tuples(), radix_bits, radix.bits_per_pass,
-            radix.kernel);
-        host->slab = writer.from_partitioned(r_parts, /*origin_host=*/0);
+        host->slab = writer.cluster_in_place(
+            host->r_frag, radix_bits, radix.bits_per_pass, radix.kernel,
+            /*origin_host=*/0, host->memory.r_scratch, std::move(host->slab));
       });
       break;
     case Algorithm::kSortMergeJoin:
       out.push_back([host, writer] {
-        std::vector<rel::Tuple> r_sorted(host->r_frag.tuples().begin(),
-                                         host->r_frag.tuples().end());
-        join::sort_fragment(r_sorted);
-        host->slab = writer.from_sorted(r_sorted, /*origin_host=*/0);
+        host->slab = writer.sort_in_place(host->r_frag, /*origin_host=*/0,
+                                          std::move(host->slab));
       });
       break;
     case Algorithm::kNestedLoops:
       out.push_back([host, writer] {
-        host->slab = writer.from_raw(host->r_frag.tuples(), 0);
+        host->slab = writer.from_raw(host->r_frag, 0, std::move(host->slab));
       });
       break;
   }
@@ -559,7 +677,7 @@ inline void build_query_chunk_work(const JoinSpec& spec, int radix_bits,
           join::JoinResult* partial = &out.partials[first_partial + ri];
           out.items.push_back([state, view, begin, end, partial] {
             join::nested_loops_join(view.tuples.subspan(begin, end - begin),
-                                    std::span<const rel::Tuple>(state->s_raw),
+                                    state->s_frag,
                                     *state->predicate, *partial);
           });
         }

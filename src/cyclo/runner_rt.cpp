@@ -90,7 +90,7 @@ class RtRunner {
  public:
   RtRunner(const ClusterConfig& cfg, const JoinSpec& spec,
            const rel::Relation& r, const std::vector<SharedQuery>& queries,
-           FragmentInputs* frags = nullptr)
+           FragmentInputs* frags, std::vector<detail::HostMemory>* memory)
       : cfg_(cfg),
         spec_(spec),
         n_(cfg.num_hosts),
@@ -109,7 +109,13 @@ class RtRunner {
         "the rt backend supports crash faults only (no link faults)");
     CJ_CHECK_MSG(cfg_.fault.slowdowns.empty(),
                  "the rt backend supports crash faults only (no slowdowns)");
-    plan_ = detail::plan_run(cfg_, spec_, r, queries_, frags);
+    plan_ = detail::plan_run(cfg_, spec_, r, queries_, frags, memory);
+  }
+
+  /// Hands the hosts' working memory back after execute() (every engine
+  /// and worker thread has been joined by then).
+  void reclaim(std::vector<detail::HostMemory>* memory) {
+    detail::reclaim_memory(plan_, memory);
   }
 
   SharedRunReport execute() {
@@ -297,10 +303,7 @@ class RtRunner {
           detail::build_replica_records(
               *host.plan, cfg_.node.buffer_bytes - ring::kFrameBytes);
     }
-    host.plan->r_frag = rel::Relation();  // originals no longer needed
-    if (spec_.algorithm != Algorithm::kNestedLoops) {
-      for (auto& query : host.plan->queries) query.s_frag = rel::Relation();
-    }
+    detail::release_inputs(*host.plan, spec_.algorithm);
 
     co_await setup_barrier_.arrive_and_wait(engine);
 
@@ -1338,9 +1341,12 @@ class RtRunner {
 SharedRunReport run_rt(const ClusterConfig& cluster, const JoinSpec& spec,
                        const rel::Relation& rotating,
                        const std::vector<SharedQuery>& queries,
-                       FragmentInputs* frags) {
-  RtRunner runner(cluster, spec, rotating, queries, frags);
-  return runner.execute();
+                       FragmentInputs* frags,
+                       std::vector<detail::HostMemory>* memory) {
+  RtRunner runner(cluster, spec, rotating, queries, frags, memory);
+  SharedRunReport report = runner.execute();
+  runner.reclaim(memory);
+  return report;
 }
 
 }  // namespace cj::cyclo

@@ -14,14 +14,21 @@
 
 namespace cj::cyclo {
 
+namespace detail {
+struct HostMemory;
+}
+
 /// Runs the query set on the rt backend and reports like the sim runner
 /// (matches/checksums are identical; timings are wall-clock nanoseconds).
 /// Supports crash-only fault plans; link faults and slowdowns are rejected.
 /// A non-null `frags` skips the distribute step and moves the pre-placed
-/// per-host fragments in (see CycloJoin::run_fragments).
+/// per-host fragments in (see CycloJoin::run_fragments). `memory` is the
+/// CycloJoin's kept working memory: taken in, and handed back filled when
+/// the run returns (may be null).
 SharedRunReport run_rt(const ClusterConfig& cluster, const JoinSpec& spec,
                        const rel::Relation& rotating,
                        const std::vector<SharedQuery>& queries,
-                       FragmentInputs* frags = nullptr);
+                       FragmentInputs* frags,
+                       std::vector<detail::HostMemory>* memory);
 
 }  // namespace cj::cyclo

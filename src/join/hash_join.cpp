@@ -430,8 +430,14 @@ void PartitionHashTable::probe(std::span<const rel::Tuple> r_run,
 HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
                                              int radix_bits,
                                              const RadixConfig& config) {
-  const KernelConfig& kernel = config.kernel;
   HashJoinStationary out;
+  out.rebuild(s, radix_bits, config);
+  return out;
+}
+
+void HashJoinStationary::rebuild(std::span<const rel::Tuple> s, int radix_bits,
+                                 const RadixConfig& config) {
+  const KernelConfig& kernel = config.kernel;
   const std::size_t n = s.size();
 
   // Fused setup for large bucket-group builds: one extended-fanout
@@ -466,9 +472,9 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
   }
 
   // Carves one backing range per partition table out of a single shared
-  // slab (see table_slab.h) and returns the per-partition base pointers;
-  // the slab itself moves into out.table_slab_. Chained tables manage
-  // their own vectors — no slab.
+  // slab (see table_slab.h) and returns the per-partition base pointers.
+  // The previous build's slab is reused when it is large enough. Chained
+  // tables manage their own vectors — no slab.
   const auto carve_slab = [&](const PartitionedData& parts)
       -> std::vector<std::byte*> {
     const std::uint32_t num_parts = parts.num_partitions();
@@ -479,9 +485,12 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
           PartitionHashTable::table_bytes_for(parts.partition(p).size(), kernel);
       total += bytes[p];
     }
-    out.table_slab_ = TableSlab(total);
+    if (table_slab_.bytes() < total) {
+      table_slab_ = TableSlab();  // unmap before mapping the larger slab
+      table_slab_ = TableSlab(total);
+    }
     std::vector<std::byte*> bases(num_parts);
-    std::byte* cursor = out.table_slab_.data();
+    std::byte* cursor = table_slab_.data();
     for (std::uint32_t p = 0; p < num_parts; ++p) {
       bases[p] = cursor;
       cursor += bytes[p];
@@ -490,22 +499,22 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
   };
 
   if (rb < 0) {
-    out.parts_ =
-        radix_cluster(s, radix_bits, config.bits_per_pass, kernel);
-    const std::uint32_t num_parts = out.parts_.num_partitions();
-    out.tables_.resize(num_parts);
+    radix_cluster_into(s, radix_bits, config.bits_per_pass, kernel, parts_,
+                       scratch_);
+    const std::uint32_t num_parts = parts_.num_partitions();
+    tables_.resize(num_parts);
     if (!kernel.fingerprint_table) {
       for (std::uint32_t p = 0; p < num_parts; ++p) {
-        out.tables_[p].build(out.parts_.partition(p), radix_bits, kernel);
+        tables_[p].build(parts_.partition(p), radix_bits, kernel);
       }
-      return out;
+      return;
     }
-    const std::vector<std::byte*> bases = carve_slab(out.parts_);
+    const std::vector<std::byte*> bases = carve_slab(parts_);
     for (std::uint32_t p = 0; p < num_parts; ++p) {
-      out.tables_[p].build_direct(out.parts_.partition(p), radix_bits, kernel,
-                                  bases[p]);
+      tables_[p].build_direct(parts_.partition(p), radix_bits, kernel,
+                              bases[p]);
     }
-    return out;
+    return;
   }
 
   const std::uint32_t num_parts = 1U << radix_bits;
@@ -525,10 +534,14 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
   };
 
   std::vector<std::uint32_t> boundaries(static_cast<std::size_t>(fanout) + 1);
-  std::vector<rel::Tuple> clustered(n);
+  // The scatter overwrites every slot, so reused storage needs no clearing.
+  auto storage = parts_.release();
+  std::vector<rel::Tuple> clustered = std::move(storage.first);
+  clustered.resize(n);
   {
     obs::prof::ScopedProfile pass_prof(obs::prof::current(), "radix_pass1", n);
-    std::vector<std::uint32_t> hashes(n);
+    std::vector<std::uint32_t>& hashes = scratch_.hashes;
+    hashes.resize(n);
     std::vector<std::uint32_t> counts(fanout, 0);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t h = hash_key(s[i].key);
@@ -553,24 +566,23 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
 
   // Partition directory at partition granularity; tuple order within a
   // partition is region-major, which PartitionedData's contract allows.
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(num_parts) + 1);
+  std::vector<std::uint32_t> offsets = std::move(storage.second);
+  offsets.resize(static_cast<std::size_t>(num_parts) + 1);
   for (std::uint32_t p = 0; p < num_parts; ++p) {
     offsets[p] = boundaries[static_cast<std::size_t>(p) << rb];
   }
   offsets[num_parts] = static_cast<std::uint32_t>(n);
-  out.parts_ =
-      PartitionedData(std::move(clustered), std::move(offsets), radix_bits);
+  parts_ = PartitionedData(std::move(clustered), std::move(offsets), radix_bits);
 
-  out.tables_.resize(num_parts);
-  const std::vector<std::byte*> bases = carve_slab(out.parts_);
+  tables_.resize(num_parts);
+  const std::vector<std::byte*> bases = carve_slab(parts_);
   for (std::uint32_t p = 0; p < num_parts; ++p) {
     const auto region_offsets =
         std::span<const std::uint32_t>(boundaries)
             .subspan(static_cast<std::size_t>(p) << rb, regions + 1);
-    out.tables_[p].build_staged(out.parts_.partition(p), region_offsets,
-                                radix_bits, kernel, bases[p]);
+    tables_[p].build_staged(parts_.partition(p), region_offsets, radix_bits,
+                            kernel, bases[p]);
   }
-  return out;
 }
 
 std::size_t HashJoinStationary::bytes() const {

@@ -308,6 +308,14 @@ class HashJoinStationary {
   static HashJoinStationary build(std::span<const rel::Tuple> s, int radix_bits,
                                   const RadixConfig& config = {});
 
+  /// build() in place: same result, but the partition storage, the tables,
+  /// the table slab and the clustering scratch of the previous build are
+  /// reused wherever they are large enough. A caller that keeps one object
+  /// and rebuilds it every setup (the cyclo runners keep one per host and
+  /// query across runs) faults in no page of it in steady state.
+  void rebuild(std::span<const rel::Tuple> s, int radix_bits,
+               const RadixConfig& config = {});
+
   int radix_bits() const { return parts_.bits(); }
   std::uint32_t num_partitions() const { return parts_.num_partitions(); }
   std::size_t rows() const { return parts_.rows(); }
@@ -333,6 +341,8 @@ class HashJoinStationary {
   /// sub-2MB per-partition tables still share 2 MB pages (build faults and
   /// probe TLB reach both scale with page count; see table_slab.h).
   TableSlab table_slab_;
+  /// Transient clustering buffers, kept for the next rebuild().
+  RadixScratch scratch_;
 };
 
 }  // namespace cj::join

@@ -29,15 +29,7 @@ int choose_radix_bits(std::size_t s_rows, const RadixConfig& config) {
 
 namespace {
 
-/// Clustering work item of the single-hash path: the tuple with its hash
-/// carried alongside, so no pass ever rehashes. 16 bytes — four per cache
-/// line, and unlike the bare 12-byte tuple no entry straddles a line.
-struct HashedTuple {
-  rel::Tuple t;
-  std::uint32_t h;
-};
-static_assert(sizeof(HashedTuple) == 16);
-
+using detail::HashedTuple;
 using detail::kMinBufferedFanout;
 using detail::kStageCap;
 using detail::scatter_range;
@@ -112,12 +104,16 @@ PartitionedData cluster_legacy(std::span<const rel::Tuple> input, int total_bits
 /// tuples into the output. A single-pass clustering therefore never pays
 /// for the 16-byte representation at all. With `buffered`, every scatter
 /// stages kStageCap entries per destination and flushes them in bulk.
-PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
-                                    int total_bits, int bits_per_pass,
-                                    bool buffered) {
+/// Writes the n clustered tuples to `out` and the directory to
+/// `boundaries`, and takes its transient arrays from `scratch`; every slot
+/// of every array is overwritten before it is read, so reused storage needs
+/// no clearing.
+void cluster_single_hash(std::span<const rel::Tuple> input, int total_bits,
+                         int bits_per_pass, bool buffered, rel::Tuple* out,
+                         std::vector<std::uint32_t>& boundaries,
+                         RadixScratch& scratch) {
   const std::size_t n = input.size();
   const std::uint32_t id_mask = (1U << total_bits) - 1;
-  std::vector<rel::Tuple> out(n);
 
   std::vector<std::uint32_t> counts;
   std::vector<std::uint32_t> cursor;
@@ -134,7 +130,8 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
   const bool only_pass = b1 == total_bits;
   const bool staged1 = buffered && fanout1 >= kMinBufferedFanout;
 
-  std::vector<std::uint32_t> hashes(n);
+  std::vector<std::uint32_t>& hashes = scratch.hashes;
+  hashes.resize(n);
   counts.assign(fanout1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t h = hash_key(input[i].key);
@@ -142,7 +139,8 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
     ++counts[(h & id_mask) >> shift1];  // top slice: no further mask needed
   }
 
-  std::vector<std::uint32_t> boundaries(static_cast<std::size_t>(fanout1) + 1);
+  boundaries.resize(static_cast<std::size_t>(fanout1) + 1);
+  boundaries[0] = 0;
   cursor.resize(fanout1);
   std::uint32_t acc = 0;
   for (std::uint32_t s = 0; s < fanout1; ++s) {
@@ -156,21 +154,22 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
   if (only_pass) {
     if (staged1) stage_t.resize(static_cast<std::size_t>(fanout1) * kStageCap);
     scatter_range<rel::Tuple>(0, n, staged1, fanout1, cursor, fill, stage_t,
-                              out.data(), slice1,
+                              out, slice1,
                               [&](std::size_t i) { return input[i]; });
-    return PartitionedData(std::move(out), std::move(boundaries), total_bits);
+    return;
   }
 
-  std::vector<HashedTuple> cur(n);
+  std::vector<HashedTuple>& cur = scratch.wide;
+  cur.resize(n);
   if (staged1) stage_h.resize(static_cast<std::size_t>(fanout1) * kStageCap);
   scatter_range<HashedTuple>(0, n, staged1, fanout1, cursor, fill, stage_h,
                              cur.data(), slice1, [&](std::size_t i) {
                                return HashedTuple{input[i], hashes[i]};
                              });
-  hashes = {};  // later passes carry the hash inside the HashedTuples
-  pass_prof.reset();
+  pass_prof.reset();  // later passes carry the hash inside the HashedTuples
   int consumed = b1;
-  std::vector<HashedTuple> next;  // allocated only if a middle pass needs it
+  // Only a middle pass (three or more in total) needs a second wide array.
+  std::vector<HashedTuple>& next = scratch.wide_next;
 
   // ---- remaining passes over the HashedTuple representation ----
   while (consumed < total_bits) {
@@ -218,7 +217,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
 
       if (last_pass) {
         scatter_range<rel::Tuple>(begin, end, staged, fanout, cursor, fill,
-                                  stage_t, out.data(), slice_of,
+                                  stage_t, out, slice_of,
                                   [&](std::size_t i) { return cur[i].t; });
       } else {
         scatter_range<HashedTuple>(begin, end, staged, fanout, cursor, fill,
@@ -231,31 +230,62 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
     boundaries = std::move(new_boundaries);
     consumed += b;
   }
-
-  return PartitionedData(std::move(out), std::move(boundaries), total_bits);
 }
 
 }  // namespace
 
 PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
                               int bits_per_pass, const KernelConfig& kernel) {
+  PartitionedData out;
+  RadixScratch scratch;
+  radix_cluster_into(input, total_bits, bits_per_pass, kernel, out, scratch);
+  return out;
+}
+
+void radix_cluster_into(std::span<const rel::Tuple> input, int total_bits,
+                        int bits_per_pass, const KernelConfig& kernel,
+                        PartitionedData& out, RadixScratch& scratch) {
+  if (total_bits > 0 && !kernel.cache_hashes) {
+    // The legacy kernel is the A/B baseline and allocates afresh.
+    CJ_CHECK(total_bits <= 24 && bits_per_pass >= 1);
+    out = cluster_legacy(input, total_bits, bits_per_pass);
+    return;
+  }
+  auto storage = out.release();
+  storage.first.resize(input.size());
+  radix_cluster_to(input, total_bits, bits_per_pass, kernel, storage.first,
+                   storage.second, scratch);
+  out = PartitionedData(std::move(storage.first), std::move(storage.second),
+                        total_bits);
+}
+
+void radix_cluster_to(std::span<const rel::Tuple> input, int total_bits,
+                      int bits_per_pass, const KernelConfig& kernel,
+                      std::span<rel::Tuple> out,
+                      std::vector<std::uint32_t>& offsets,
+                      RadixScratch& scratch) {
   CJ_CHECK(total_bits >= 0 && total_bits <= 24);
   CJ_CHECK(bits_per_pass >= 1);
   const std::size_t n = input.size();
+  CJ_CHECK(out.size() == n);
 
   if (total_bits == 0) {
-    std::vector<rel::Tuple> tuples(input.begin(), input.end());
-    return PartitionedData(std::move(tuples), {0, static_cast<std::uint32_t>(n)}, 0);
+    std::copy(input.begin(), input.end(), out.begin());
+    offsets.assign({0, static_cast<std::uint32_t>(n)});
+    return;
   }
   CJ_CHECK_MSG(n <= 0xFFFFFFFFULL, "32-bit partition directory limits fragments to 4G rows");
 
   if (kernel.cache_hashes) {
-    return cluster_single_hash(input, total_bits, bits_per_pass,
-                               kernel.buffered_scatter);
+    cluster_single_hash(input, total_bits, bits_per_pass,
+                        kernel.buffered_scatter, out.data(), offsets, scratch);
+    return;
   }
   // buffered_scatter rides the HashedTuple representation (the staging
   // entries carry the hash), so without cache_hashes it has no effect.
-  return cluster_legacy(input, total_bits, bits_per_pass);
+  const PartitionedData legacy = cluster_legacy(input, total_bits, bits_per_pass);
+  std::copy(legacy.all_tuples().begin(), legacy.all_tuples().end(), out.begin());
+  offsets.assign(legacy.offsets().begin(), legacy.offsets().end());
 }
 
 }  // namespace cj::join

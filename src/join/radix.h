@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -53,6 +54,29 @@ inline std::uint32_t partition_of(std::uint32_t key, int bits) {
 /// on config.kernel's table layout) fits the cache budget.
 int choose_radix_bits(std::size_t s_rows, const RadixConfig& config);
 
+namespace detail {
+/// Clustering work item of the multi-pass single-hash path: the tuple with
+/// its hash carried alongside, so no pass ever rehashes. 16 bytes — four
+/// per cache line, and unlike the bare 12-byte tuple no entry straddles a
+/// line.
+struct HashedTuple {
+  rel::Tuple t;
+  std::uint32_t h;
+};
+static_assert(sizeof(HashedTuple) == 16);
+}  // namespace detail
+
+/// Transient buffers of a clustering: the hash side array and the
+/// multi-pass intermediates. A caller that clusters repeatedly keeps one
+/// and hands it to every clustering call, so each clustering
+/// writes into the previous one's resident pages instead of faulting in
+/// fresh ones.
+struct RadixScratch {
+  std::vector<std::uint32_t> hashes;
+  std::vector<detail::HashedTuple> wide;
+  std::vector<detail::HashedTuple> wide_next;
+};
+
 /// Tuples clustered into 2^bits partitions, with a partition directory.
 /// Partition p occupies [offsets[p], offsets[p+1]).
 class PartitionedData {
@@ -78,6 +102,13 @@ class PartitionedData {
   std::span<const rel::Tuple> all_tuples() const { return tuples_; }
   std::span<const std::uint32_t> offsets() const { return offsets_; }
 
+  /// Moves the tuple and directory storage out (contents unspecified) so
+  /// the next clustering can be written into it; this becomes empty.
+  std::pair<std::vector<rel::Tuple>, std::vector<std::uint32_t>> release() {
+    bits_ = 0;
+    return {std::exchange(tuples_, {}), std::exchange(offsets_, {})};
+  }
+
  private:
   std::vector<rel::Tuple> tuples_;
   std::vector<std::uint32_t> offsets_;
@@ -93,5 +124,24 @@ class PartitionedData {
 /// differ between kernel configurations, like it does between pass shapes.
 PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
                               int bits_per_pass, const KernelConfig& kernel = {});
+
+/// radix_cluster that writes into `out`, reusing its storage and
+/// `scratch`'s wherever they are large enough (same output as
+/// radix_cluster). Buffers only ever grow, so a caller clustering inputs
+/// of similar size over and over allocates nothing in steady state.
+void radix_cluster_into(std::span<const rel::Tuple> input, int total_bits,
+                        int bits_per_pass, const KernelConfig& kernel,
+                        PartitionedData& out, RadixScratch& scratch);
+
+/// The clustering itself, into caller-provided storage: writes the
+/// clustered tuples to `out` (exactly input.size() slots, not overlapping
+/// `input`) and the partition directory to `offsets` (2^total_bits + 1
+/// entries). Lets a caller cluster straight into memory it lays out itself
+/// (ChunkWriter::cluster_in_place clusters into the chunk slab).
+void radix_cluster_to(std::span<const rel::Tuple> input, int total_bits,
+                      int bits_per_pass, const KernelConfig& kernel,
+                      std::span<rel::Tuple> out,
+                      std::vector<std::uint32_t>& offsets,
+                      RadixScratch& scratch);
 
 }  // namespace cj::join

@@ -22,17 +22,15 @@
 // 64 B-aligned operator new block — correctness never depends on the fast
 // path.
 //
-// Mappings are recycled through a per-thread cache of one block: the
-// destructor parks the mapping instead of unmapping it, and the next
-// same-thread allocation it can satisfy adopts it, pages still resident.
-// This is shaped for the roundabout: every revolution rebuilds stationary
-// tables of the same sizes, so in steady state a setup faults no table
-// page at all — without the cache, each rebuild's slab would re-fault its
-// whole footprint 4 KB at a time, which measures as a ~1.5-2x slowdown of
-// the entire build phase (faulting + kernel page-zeroing costs ~0.45 ns/B,
-// ~14 ns per stationary tuple at 32 table-B/tuple). The cache holds at
-// most one block per thread, bounded by the largest table footprint that
-// thread builds.
+// A slab does not recycle its mapping by itself: destroying one unmaps it.
+// Steady-state reuse is explicit ownership instead — a caller that keeps
+// the owning HashJoinStationary and calls rebuild() every setup builds into
+// the same, already-faulted slab (the cyclo runners keep one per host and
+// query across runs of a CycloJoin). That is shaped for the roundabout:
+// every revolution rebuilds stationary tables of the same sizes, and a
+// rebuild into a fresh slab re-faults its whole footprint (faulting plus
+// kernel page-zeroing costs ~0.45 ns/B, ~14 ns per stationary tuple at 32
+// table-B/tuple).
 #pragma once
 
 #include <cstddef>
@@ -60,18 +58,6 @@ class TableSlab {
 #if defined(__linux__)
     if (bytes_ >= kHugePageBytes) {
       const std::size_t ceil = (bytes_ + kPageBytes - 1) & ~(kPageBytes - 1);
-      // A parked mapping from an earlier same-thread slab satisfies the
-      // request with already-faulted pages (see cache note above). Only
-      // adopt when the fit is not wasteful: an oversized block would pin
-      // memory the current build never touches.
-      CacheBlock& cache = cache_block();
-      if (cache.p != nullptr && cache.mapped >= ceil &&
-          cache.mapped <= 2 * ceil) {
-        p_ = cache.p;
-        mapped_bytes_ = cache.mapped;
-        cache = CacheBlock{};
-        return;
-      }
       // Over-map by one huge page, then trim to a 2 MB-aligned range: an
       // unaligned VMA may contain no aligned 2 MB chunk at all, and THP
       // can only back aligned chunks.
@@ -120,43 +106,20 @@ class TableSlab {
  private:
   static constexpr std::size_t kPageBytes = 4096;
 
-#if defined(__linux__)
-  struct CacheBlock {
-    void* p = nullptr;
-    std::size_t mapped = 0;
-  };
-  /// The one parked mapping of this thread. A destructor on another thread
-  /// parks into that thread's slot — a mapping is process-wide, so adopting
-  /// cross-thread-built storage is safe; the cache is thread-local only to
-  /// stay lock-free.
-  static CacheBlock& cache_block() {
-    static thread_local CacheBlock block;
-    return block;
-  }
-#endif
-
   void release() {
     if (p_ == nullptr) return;
 #if defined(__linux__)
     if (mapped_bytes_ != 0) {
-      // Park the mapping for the next build instead of unmapping it;
-      // displace a smaller parked block (the largest mapping serves the
-      // widest range of future table sizes).
-      CacheBlock& cache = cache_block();
-      if (cache.p == nullptr || cache.mapped < mapped_bytes_) {
-        std::swap(cache.p, p_);
-        std::swap(cache.mapped, mapped_bytes_);
-      }
-      if (p_ != nullptr) ::munmap(p_, mapped_bytes_);
-      p_ = nullptr;
-      mapped_bytes_ = 0;
-      bytes_ = 0;
-      return;
+      ::munmap(p_, mapped_bytes_);
+    } else {
+      ::operator delete(p_, std::align_val_t{64});
     }
-#endif
+#else
     ::operator delete(p_, std::align_val_t{64});
+#endif
     p_ = nullptr;
     bytes_ = 0;
+    mapped_bytes_ = 0;
   }
 
   void swap(TableSlab& other) noexcept {

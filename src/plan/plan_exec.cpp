@@ -53,8 +53,12 @@ PlanRunReport PlanExecutor::execute(
     spec.join_threads = cfg_.join_threads;
     spec.materialize = !final_round || cfg_.materialize_final;
 
-    cyclo::CycloJoin join(cluster, spec);
-    const cyclo::RunReport run = join.run_fragments(std::move(frags));
+    // The round's join (and the working memory it keeps) is gone before
+    // its output is projected and redistributed: a plan's rounds differ in
+    // shape, so keeping it for the next round would only pile it on top of
+    // the materialized intermediate.
+    const cyclo::RunReport run =
+        cyclo::CycloJoin(cluster, spec).run_fragments(std::move(frags));
 
     RoundReport round;
     round.relation = planned.relation;

@@ -70,4 +70,7 @@ class Relation {
 /// even"). Fragment i gets rows [i*rows/n, (i+1)*rows/n).
 std::vector<Relation> split_even(const Relation& relation, int n);
 
+/// Fragment i of split_even(relation, n) as a view, without the copy.
+std::span<const Tuple> even_share(const Relation& relation, int i, int n);
+
 }  // namespace cj::rel

@@ -161,7 +161,7 @@ ServeReport QueryScheduler::drain(const rel::Relation& rotating) {
       metrics_.add_counter("serve.admitted", 1);
     }
 
-    cyclo::CycloJoin join(cluster, config_.spec);
+    cyclo::CycloJoin join(cluster, config_.spec, memory_);
     const cyclo::SharedRunReport report = join.run_shared(rotating, shared);
     const SimTime wave_end = clock_ + report.total_wall;
     bytes_on_wire_ += report.bytes_on_wire;

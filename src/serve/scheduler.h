@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,9 @@ class QueryScheduler {
   std::uint64_t bytes_on_wire_ = 0;
   bool blackbox_written_ = false;
   obs::MetricsRegistry metrics_;
+  /// Shared by every wave's CycloJoin: each wave rebuilds in the previous
+  /// wave's working memory.
+  std::shared_ptr<cyclo::WorkingMemory> memory_ = cyclo::make_working_memory();
 };
 
 }  // namespace cj::serve

@@ -2,6 +2,7 @@
 // limits, run directories, oversized-partition splitting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -131,12 +132,75 @@ TEST(ChunkWriter, ChunksRespectBufferSize) {
   }
 }
 
+void expect_same_slab(ChunkSlab& got, ChunkSlab& want) {
+  ASSERT_EQ(got.num_chunks(), want.num_chunks());
+  EXPECT_EQ(got.total_tuples(), want.total_tuples());
+  for (std::size_t c = 0; c < want.num_chunks(); ++c) {
+    ASSERT_EQ(got.chunk(c).data() - got.slab().data(),
+              want.chunk(c).data() - want.slab().data());
+  }
+  // Whole slabs, alignment padding included.
+  const auto a = got.slab();
+  const auto b = want.slab();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+}
+
+TEST(ChunkWriter, ReusedSlabEncodesLikeAFreshOne) {
+  // A slab handed back as `reuse` (larger, then smaller than the next
+  // encoding needs) yields exactly the bytes of a freshly built slab.
+  ChunkWriter writer(4096);
+  ChunkSlab reused;
+  for (const std::uint64_t rows : {20'000UL, 3'000UL, 45'000UL}) {
+    auto r = gen(rows, rows / 4, rows);
+    reused = writer.from_raw(r.tuples(), 2, std::move(reused));
+    ChunkSlab fresh = writer.from_raw(r.tuples(), 2);
+    expect_same_slab(reused, fresh);
+  }
+}
+
+TEST(ChunkWriter, InPlaceBuildsEqualCopyingBuilds) {
+  // cluster_in_place and sort_in_place prepare the tuples inside the slab
+  // and must yield exactly the bytes of chunking a separately prepared
+  // copy: into reused storage larger or smaller than needed, with one to
+  // three clustering passes, both kernels, and many-run and split chunks.
+  join::RadixScratch scratch;
+  ChunkSlab clustered;
+  ChunkSlab sorted;
+  for (const std::size_t buffer : {256UL, 4096UL}) {
+    const ChunkWriter writer(buffer);
+    for (const std::uint64_t rows : {20'000UL, 3'000UL, 45'000UL}) {
+      for (const double zipf : {0.0, 1.2}) {
+        const auto r = gen(rows, rows / 4 + 1, rows + 7, zipf);
+        for (const join::KernelConfig& kernel :
+             {join::KernelConfig{}, join::KernelConfig::legacy()}) {
+          for (const int bits : {0, 6, 11}) {
+            clustered = writer.cluster_in_place(r.tuples(), bits, 4, kernel, 2,
+                                                scratch, std::move(clustered));
+            ChunkSlab want = writer.from_partitioned(
+                join::radix_cluster(r.tuples(), bits, 4, kernel), 2);
+            expect_same_slab(clustered, want);
+          }
+        }
+        std::vector<rel::Tuple> copy(r.tuples().begin(), r.tuples().end());
+        join::sort_fragment(copy);
+        sorted = writer.sort_in_place(r.tuples(), 1, std::move(sorted));
+        ChunkSlab want = writer.from_sorted(copy, 1);
+        expect_same_slab(sorted, want);
+      }
+    }
+  }
+}
+
 TEST(ChunkWriter, EmptyInputYieldsNoChunks) {
   ChunkWriter writer(4096);
   EXPECT_EQ(writer.from_raw({}, 0).num_chunks(), 0u);
   EXPECT_EQ(writer.from_sorted({}, 0).num_chunks(), 0u);
   auto parts = join::radix_cluster({}, 4, 8);
   EXPECT_EQ(writer.from_partitioned(parts, 0).num_chunks(), 0u);
+  join::RadixScratch scratch;
+  EXPECT_EQ(writer.cluster_in_place({}, 4, 8, {}, 0, scratch).total_bytes(), 0u);
+  EXPECT_EQ(writer.sort_in_place({}, 0).total_bytes(), 0u);
 }
 
 TEST(DecodeChunk, RejectsCorruptedMagic) {

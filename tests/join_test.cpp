@@ -132,6 +132,44 @@ TEST(Radix, EmptyInput) {
   for (std::uint32_t p = 0; p < 16; ++p) EXPECT_TRUE(parts.partition(p).empty());
 }
 
+TEST(Radix, ClusterIntoReusedStorageEqualsFreshClustering) {
+  // One PartitionedData + RadixScratch reused across inputs that grow,
+  // shrink and grow again, and across one-, two- and three-pass shapes:
+  // every clustering is exactly the fresh radix_cluster of its input.
+  struct Step {
+    std::uint64_t rows;
+    int bits;
+    int per_pass;
+  };
+  const Step steps[] = {{20'000, 6, 8}, {50'000, 10, 4}, {3'000, 9, 3},
+                        {60'000, 8, 8}, {0, 4, 8},       {10'000, 0, 8}};
+  PartitionedData reused;
+  RadixScratch scratch;
+  std::uint64_t seed = 50;
+  for (const Step& step : steps) {
+    SCOPED_TRACE(testing::Message() << step.rows << " rows, " << step.bits
+                                    << " bits, " << step.per_pass << "/pass");
+    ++seed;
+    const rel::Relation r = step.rows == 0
+                                ? rel::Relation("empty")
+                                : gen(step.rows, step.rows / 2 + 1, seed);
+    radix_cluster_into(r.tuples(), step.bits, step.per_pass, {}, reused,
+                       scratch);
+    const auto fresh = radix_cluster(r.tuples(), step.bits, step.per_pass);
+    ASSERT_EQ(reused.bits(), fresh.bits());
+    ASSERT_TRUE(std::equal(reused.offsets().begin(), reused.offsets().end(),
+                           fresh.offsets().begin(), fresh.offsets().end()));
+    const auto a = reused.all_tuples();
+    const auto b = fresh.all_tuples();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      // Copies: gtest binds references, and the tuple fields are packed.
+      ASSERT_EQ(std::uint32_t{a[i].key}, std::uint32_t{b[i].key}) << i;
+      ASSERT_EQ(std::uint64_t{a[i].payload}, std::uint64_t{b[i].payload}) << i;
+    }
+  }
+}
+
 // ------------------------------------------------------------ hash table
 
 TEST(PartitionHashTable, FindsAllDuplicates) {
@@ -608,6 +646,43 @@ TEST(KernelParity, StagedBuildAgreesWithLegacyAtScale) {
     const auto staged = hash_join_with(r.tuples(), s.tuples(), bits, {});
     EXPECT_EQ(staged.matches(), legacy.matches()) << "bits " << bits;
     EXPECT_EQ(staged.checksum(), legacy.checksum()) << "bits " << bits;
+  }
+}
+
+TEST(KernelParity, RebuildInPlaceAgreesWithFreshBuild) {
+  // One stationary rebuilt over inputs that cross the staged-build size
+  // gate, shrink (keeping the larger slab and partition storage) and
+  // outgrow it again joins exactly like a fresh build every time, in both
+  // table layouts.
+  struct Step {
+    std::uint64_t rows;
+    int bits;
+  };
+  const Step steps[] = {{40'000, 4}, {320'000, 6}, {5'000, 2}, {330'000, 1}};
+  for (const KernelConfig kernel : {KernelConfig{}, KernelConfig::legacy()}) {
+    RadixConfig config;
+    config.kernel = kernel;
+    HashJoinStationary reused;
+    std::uint64_t seed = 70;
+    for (const Step& step : steps) {
+      SCOPED_TRACE(testing::Message()
+                   << step.rows << " rows, " << step.bits << " bits, "
+                   << (kernel.fingerprint_table ? "groups" : "chained"));
+      auto s = gen(step.rows, step.rows / 3 + 1, ++seed);
+      auto r = gen(step.rows / 2, step.rows / 3 + 1, ++seed);
+      reused.rebuild(s.tuples(), step.bits, config);
+      const auto fresh = HashJoinStationary::build(s.tuples(), step.bits, config);
+      const auto r_parts = radix_cluster(r.tuples(), step.bits, 8, kernel);
+      JoinResult got, want;
+      for (std::uint32_t p = 0; p < r_parts.num_partitions(); ++p) {
+        reused.probe_partition(p, r_parts.partition(p), got);
+        fresh.probe_partition(p, r_parts.partition(p), want);
+      }
+      EXPECT_EQ(reused.rows(), s.rows());
+      EXPECT_GT(want.matches(), 0u);
+      EXPECT_EQ(got.matches(), want.matches());
+      EXPECT_EQ(got.checksum(), want.checksum());
+    }
   }
 }
 

@@ -287,7 +287,13 @@ std::multiset<std::pair<std::uint32_t, std::uint64_t>> multiset_of(
     const std::vector<rel::Relation>& frags) {
   std::multiset<std::pair<std::uint32_t, std::uint64_t>> out;
   for (const rel::Relation& frag : frags) {
-    for (const rel::Tuple& t : frag.tuples()) out.emplace(t.key, t.payload);
+    for (const rel::Tuple& t : frag.tuples()) {
+      // Copy out of the packed tuple first: binding the emplace's
+      // reference parameters to packed fields is a misaligned read.
+      const std::uint32_t key = t.key;
+      const std::uint64_t payload = t.payload;
+      out.emplace(key, payload);
+    }
   }
   return out;
 }

@@ -2,6 +2,8 @@
 // channels, events, semaphores, core pools and when_all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "sim/core_pool.h"
@@ -356,14 +358,25 @@ TEST(CorePool, CpuScaleMultipliesMeasuredCosts) {
       acc = acc + static_cast<std::uint64_t>(i);  // volatile: not foldable
     }
   };
-  base_e.spawn(base.run(burn, "w"), "b");
-  scaled_e.spawn(scaled.run(burn, "w"), "s");
-  base_e.run();
-  scaled_e.run();
-  // Identical real work; the scaled pool should report ~4x the virtual time
+  // Virtual time of one burst on `pool`.
+  const auto burst = [&](Engine& e, CorePool& pool) {
+    const SimTime before = e.now();
+    e.spawn(pool.run(burn, "w"), "burst");
+    e.run();
+    return e.now() - before;
+  };
+  // Identical real work; the scaled pool should report ~4x the virtual
+  // time. One ~2 ms burst inflated by host contention would flip a single
+  // comparison, so the pools take turns and each keeps its fastest burst
   // (very loose bounds: single-core VM noise).
-  const double ratio = static_cast<double>(scaled_e.now()) /
-                       static_cast<double>(base_e.now());
+  SimDuration base_min = std::numeric_limits<SimDuration>::max();
+  SimDuration scaled_min = std::numeric_limits<SimDuration>::max();
+  for (int i = 0; i < 7; ++i) {
+    base_min = std::min(base_min, burst(base_e, base));
+    scaled_min = std::min(scaled_min, burst(scaled_e, scaled));
+  }
+  const double ratio =
+      static_cast<double>(scaled_min) / static_cast<double>(base_min);
   EXPECT_GT(ratio, 2.0);
   EXPECT_LT(ratio, 8.0);
 }
